@@ -256,9 +256,9 @@ func randomWorld(rng *rand.Rand, nNodes, nCh int, horizon timebase.Ticks, churn 
 
 // TestRunWorldMatchesBruteForce drives the kernel across randomized small
 // worlds — 1 to 3 channels, every channel-semantics combination, static and
-// churning presence — and demands exact agreement with the quadratic
-// reference on traffic, per-channel collision accounting and every first
-// reception.
+// churning presence — and across crowded ones, and demands exact agreement
+// with the quadratic reference on traffic, per-channel collision accounting
+// and every first reception.
 func TestRunWorldMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	horizon := timebase.Ticks(3000)
@@ -282,6 +282,79 @@ func TestRunWorldMatchesBruteForce(t *testing.T) {
 		}
 		compareWorlds(t, "random world", nodes, cfg)
 	}
+	// Crowded channels: 17 to 40 nodes on one or two channels, so every
+	// channel merges more than 16 runs. Worlds alternate between
+	// jitter-free clones (forced equal packet starts across nodes) and
+	// jitter wider than the beacon gap (runs that need their sort).
+	horizon = timebase.Ticks(2000)
+	for trial := 0; trial < 24; trial++ {
+		nNodes := 17 + rng.Intn(24)
+		nCh := 1 + rng.Intn(2)
+		gap := timebase.Ticks(rng.Intn(20) + 10)
+		nodes := crowdWorld(rng, nNodes, nCh, gap, horizon, trial%4 == 3)
+		cfg := Config{
+			Horizon:          horizon,
+			Collisions:       trial%6 != 5,
+			HalfDuplex:       trial%3 == 1,
+			TruncatedWindows: trial%5 == 2,
+		}
+		if trial%2 == 1 {
+			cfg.Jitter = gap + timebase.Ticks(rng.Intn(40)) + 1
+			cfg.Seed = int64(trial) + 1
+		}
+		compareWorlds(t, "crowd world", nodes, cfg)
+	}
+}
+
+// crowdWorld builds a crowded world: every one of nNodes nodes emits on
+// every channel, so each channel carries nNodes runs. Nodes are clones of
+// a few shared templates (beacon train, listening window and phase), so
+// unjittered clones put packets on air at exactly the same start; the
+// beacons of a train sit gap ticks apart, so jitter wider than gap
+// disorders a run.
+func crowdWorld(rng *rand.Rand, nNodes, nCh int, gap timebase.Ticks, horizon timebase.Ticks, churn bool) []WorldNode {
+	type template struct {
+		emits   []Emission
+		listens []Listening
+	}
+	tpls := make([]template, 2+rng.Intn(4))
+	for k := range tpls {
+		for c := 0; c < nCh; c++ {
+			nb := 1 + rng.Intn(3)
+			length := timebase.Ticks(rng.Intn(8) + 1)
+			period := timebase.Ticks(nb)*gap + timebase.Ticks(rng.Intn(200)+100)
+			at := timebase.Ticks(rng.Intn(50))
+			var bs []schedule.Beacon
+			for b := 0; b < nb; b++ {
+				bs = append(bs, schedule.Beacon{Time: at + timebase.Ticks(b)*gap, Len: length})
+			}
+			tpls[k].emits = append(tpls[k].emits, Emission{
+				Channel: c,
+				B:       schedule.BeaconSeq{Beacons: bs, Period: period},
+				Phase:   timebase.Ticks(rng.Intn(300)) - 150,
+			})
+			wPeriod := timebase.Ticks(rng.Intn(300) + 100)
+			wLen := timebase.Ticks(rng.Intn(60) + 10)
+			tpls[k].listens = append(tpls[k].listens, Listening{
+				Channel: c,
+				C: schedule.WindowSeq{
+					Windows: []schedule.Window{{Start: timebase.Ticks(rng.Intn(int(wPeriod - wLen))), Len: wLen}},
+					Period:  wPeriod,
+				},
+				Phase: timebase.Ticks(rng.Intn(300)) - 150,
+			})
+		}
+	}
+	nodes := make([]WorldNode, nNodes)
+	for i := range nodes {
+		tpl := tpls[rng.Intn(len(tpls))]
+		nodes[i] = WorldNode{Emits: tpl.emits, Listens: tpl.listens}
+		if churn && rng.Intn(2) == 0 {
+			nodes[i].Arrive = timebase.Ticks(rng.Int63n(int64(horizon / 2)))
+			nodes[i].Depart = nodes[i].Arrive + timebase.Ticks(rng.Int63n(int64(horizon/2))) + 1
+		}
+	}
+	return nodes
 }
 
 // TestRunWorldMultiChannelGroupMatchesBruteForce pins the kernel against
