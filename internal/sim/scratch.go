@@ -22,15 +22,14 @@ import (
 // must copy it out first (see poolMultiChannel's PerChannel copy).
 type Scratch struct {
 	// Kernel buffers (RunWorldScratch).
-	txs       []transmission
-	runs      []txRun          // per-emission sorted segments of txs
-	nodeRuns  []int            // node i's runs are runs[nodeRuns[i]:nodeRuns[i+1]]
-	runPos    []int            // collision merge-scan cursor per run
-	heap      []int            // k-way merge-scan heap of run ordinals
-	headStart []timebase.Ticks // cached head starts for the linear merge scan
-	emMax     []timebase.Ticks // per-emission airtime maxima (half-duplex)
-	emBase    []int            // per-node first emission ordinal
-	perLoad   []ChannelLoad
+	txs      []transmission
+	runs     []txRun          // per-emission sorted segments of txs
+	nodeRuns []int            // node i's runs are runs[nodeRuns[i]:nodeRuns[i+1]]
+	order    []int32          // one channel's packet indices in collision order
+	buckets  []int32          // collisionOrder's per-bucket counts and cursors
+	emMax    []timebase.Ticks // per-emission airtime maxima (half-duplex)
+	emBase   []int            // per-node first emission ordinal
+	perLoad  []ChannelLoad
 
 	// First-reception maps: the outer map is cleared per run, inner maps
 	// are pooled and recycled in allocation order.

@@ -87,14 +87,12 @@ func (c Config) rng() *rand.Rand {
 	return rand.New(rand.NewSource(c.Seed))
 }
 
-// transmission is one on-air packet.
-// transmission is one packet on air. The narrow sender/channel fields keep
-// the struct at 32 bytes — the kernel streams millions of these per second,
-// so its footprint is memory-bandwidth-sensitive.
+// transmission is one packet on air. Its sender and channel are implied by
+// the run (txRun) holding it, which keeps the struct at 24 bytes — the
+// kernel streams millions of these per second, so its footprint is
+// memory-bandwidth-sensitive.
 type transmission struct {
 	start, end timebase.Ticks
-	sender     int32
-	channel    int32
 	collided   bool
 }
 

@@ -13,9 +13,9 @@ import (
 // This file is the simulation kernel: one event-driven engine over a world
 // of nodes × radios × channels. Every node owns a set of channel-tagged
 // periodic beacon schedules (emissions) and window schedules (listens); the
-// kernel merges all transmissions into one start-sorted timeline, resolves
-// ALOHA collisions per channel, and walks every listener's windows to find
-// first receptions. All trial paths — the single-channel pair/group/churn
+// kernel materializes every transmission, resolves ALOHA collisions per
+// channel in start order, and walks every listener's windows to find first
+// receptions. All trial paths — the single-channel pair/group/churn
 // workloads (Run), the multi-channel advertiser/scanner pair
 // (MultiChannelPairTrial), the slot-aligned pairs (SlotGridPair.Trial) and
 // the multi-node multi-channel workloads (MultiChannelGroupTrial,
@@ -186,19 +186,14 @@ func channelCount(nodes []WorldNode) (int, error) {
 }
 
 // RunWorld simulates the node set under cfg: it materializes every
-// emission's jittered transmissions, sorts the merged timeline, marks
-// per-channel collisions, and records every listener's first reception per
+// emission's jittered transmissions, marks per-channel collisions in start
+// order, and records every listener's first reception per
 // sender. Every run is deterministic given cfg's RNG stream. This serial
 // form allocates a fresh arena per call, so the result never aliases
 // caller-visible state; hot loops hold a Scratch and call RunWorldScratch.
 func RunWorld(nodes []WorldNode, cfg Config) (WorldResult, error) {
 	return RunWorldScratch(nodes, cfg, NewScratch())
 }
-
-// linearMergeMax is the run count up to which the collision merge scan uses
-// a linear min-scan over the run heads instead of a binary heap; beyond it
-// the heap's O(log k) per element wins.
-const linearMergeMax = 16
 
 // txRun is one contiguous, start-sorted segment of the generation buffer:
 // the transmissions of a single (node, emission) pair, all on one channel.
@@ -221,34 +216,69 @@ func txCmp(a, b transmission) int {
 	}
 }
 
-// runLess orders two active runs in a k-way merge by current head start,
-// ties broken by run ordinal, so the merged order is deterministic.
-func runLess(txs []transmission, pos []int, a, b int) bool {
-	sa, sb := txs[pos[a]].start, txs[pos[b]].start
-	if sa != sb {
-		return sa < sb
+// collisionOrder returns the indices into txs of channel c's packets in
+// (start, run ordinal, position in run) order — the order a k-way merge of
+// the channel's runs keyed by (head start, run ordinal) would produce. A
+// counting sort first drops the indices into at most n time buckets of
+// width 2^shift (n = the channel's packet count), filled in run-ordinal
+// order; one stable insertion sort by start then finishes the job. Bucket
+// order agrees with start order, so the insertion sort only ever moves a
+// packet within its own bucket: periodic beacons spread evenly over the
+// horizon, so buckets hold about one packet each and the whole pass is
+// linear. The result aliases the arena until the next call.
+func (s *Scratch) collisionOrder(txs []transmission, runs []txRun, c int) []int32 {
+	n := 0
+	lo, hi := timebase.Ticks(math.MaxInt64), timebase.Ticks(math.MinInt64)
+	for ri := range runs {
+		if ru := &runs[ri]; ru.channel == c {
+			n += ru.hi - ru.lo
+			lo = min(lo, txs[ru.lo].start)
+			hi = max(hi, txs[ru.hi-1].start)
+		}
 	}
-	return a < b
-}
-
-// siftRun restores the min-heap property of h (a heap of run ordinals keyed
-// by runLess) after h[i] changed.
-func siftRun(h []int, i int, txs []transmission, pos []int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && runLess(txs, pos, h[r], h[l]) {
-			m = r
-		}
-		if !runLess(txs, pos, h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+	order := grow(s.order, n)
+	s.order = order
+	if n == 0 {
+		return order
 	}
+	shift := uint(0)
+	for (hi-lo)>>shift >= timebase.Ticks(n) {
+		shift++
+	}
+	// next[b] counts bucket b's packets, then (after the prefix sum) holds
+	// the order slot its next packet goes to.
+	next := grow(s.buckets, int((hi-lo)>>shift)+2)
+	s.buckets = next
+	clear(next)
+	for ri := range runs {
+		if ru := &runs[ri]; ru.channel == c {
+			for gi := ru.lo; gi < ru.hi; gi++ {
+				next[(txs[gi].start-lo)>>shift+1]++
+			}
+		}
+	}
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	for ri := range runs {
+		if ru := &runs[ri]; ru.channel == c {
+			for gi := ru.lo; gi < ru.hi; gi++ {
+				b := (txs[gi].start - lo) >> shift
+				order[next[b]] = int32(gi)
+				next[b]++
+			}
+		}
+	}
+	for i := 1; i < n; i++ {
+		x := order[i]
+		start := txs[x].start
+		j := i
+		for ; j > 0 && txs[order[j-1]].start > start; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = x
+	}
+	return order
 }
 
 // RunWorldScratch is RunWorld against a caller-owned arena: all kernel
@@ -355,7 +385,7 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 					if len(txs) > runLo && start < txs[len(txs)-1].start {
 						sorted = false
 					}
-					txs = append(txs, transmission{sender: int32(i), channel: int32(em.Channel), start: start, end: end})
+					txs = append(txs, transmission{start: start, end: end})
 				}
 			}
 			if len(txs) == runLo {
@@ -378,11 +408,10 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 	// on its channel, then at W's turn the channel's running maximum either
 	// is X or belongs to a packet that overlaps X, which marked X earlier).
 	// Equal-start packets overlap each other, so the marks do not depend on
-	// how ties were ordered. The time order comes from a k-way merge scan
-	// over the channel's runs (keyed by head start, ties by run ordinal)
-	// that writes marks in place — no merged copy of the timeline is ever
-	// built — and the per-channel collided totals are counted on the
-	// false→true mark transitions, so no separate counting pass runs.
+	// how ties were ordered. The time order is an index permutation from
+	// collisionOrder (no merged copy of the timeline is ever built), and
+	// the per-channel collided totals are counted on the false→true mark
+	// transitions, so no separate counting pass runs.
 	scr.perLoad = grow(scr.perLoad, nCh)
 	for c := range scr.perLoad {
 		scr.perLoad[c] = ChannelLoad{}
@@ -396,100 +425,15 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 		res.PerChannel[runs[ri].channel].Transmissions += runs[ri].hi - runs[ri].lo
 	}
 	if cfg.Collisions {
-		scr.runPos = grow(scr.runPos, len(runs))
-		pos := scr.runPos
 		for c := 0; c < nCh; c++ {
-			h := scr.heap[:0]
-			for ri := range runs {
-				if runs[ri].channel == c {
-					h = append(h, ri)
-					pos[ri] = runs[ri].lo
-				}
-			}
-			scr.heap = h
 			maxEnd := timebase.Ticks(0)
-			maxIdx := -1
+			maxIdx := int32(-1)
 			col := 0
-			if len(h) == 1 {
-				ru := runs[h[0]]
-				for gi := ru.lo; gi < ru.hi; gi++ {
-					if maxIdx >= 0 && txs[gi].start < maxEnd {
-						if !txs[gi].collided {
-							txs[gi].collided = true
-							col++
-						}
-						if !txs[maxIdx].collided {
-							txs[maxIdx].collided = true
-							col++
-						}
-					}
-					if txs[gi].end > maxEnd {
-						maxEnd = txs[gi].end
-						maxIdx = gi
-					}
-				}
-				res.PerChannel[c].Collided = col
-				res.Collided += col
-				continue
-			}
-			if len(h) <= linearMergeMax {
-				// Few runs: a linear min-scan over the cached head starts
-				// beats heap bookkeeping (no sift swaps, one tiny array in
-				// cache). Ties pick the lowest slot = lowest run ordinal,
-				// the same order the heap produces.
-				heads := grow(scr.headStart, len(h))
-				scr.headStart = heads
-				for j, ri := range h {
-					heads[j] = txs[pos[ri]].start
-				}
-				for {
-					best := -1
-					bs := timebase.Ticks(math.MaxInt64)
-					for j := range heads {
-						if heads[j] < bs {
-							bs = heads[j]
-							best = j
-						}
-					}
-					if best < 0 {
-						break
-					}
-					ri := h[best]
-					gi := pos[ri]
-					if maxIdx >= 0 && txs[gi].start < maxEnd {
-						if !txs[gi].collided {
-							txs[gi].collided = true
-							col++
-						}
-						if !txs[maxIdx].collided {
-							txs[maxIdx].collided = true
-							col++
-						}
-					}
-					if txs[gi].end > maxEnd {
-						maxEnd = txs[gi].end
-						maxIdx = gi
-					}
-					pos[ri]++
-					if pos[ri] < runs[ri].hi {
-						heads[best] = txs[pos[ri]].start
-					} else {
-						heads[best] = math.MaxInt64
-					}
-				}
-				res.PerChannel[c].Collided = col
-				res.Collided += col
-				continue
-			}
-			for i := len(h)/2 - 1; i >= 0; i-- {
-				siftRun(h, i, txs, pos)
-			}
-			for len(h) > 0 {
-				top := h[0]
-				gi := pos[top]
-				if maxIdx >= 0 && txs[gi].start < maxEnd {
-					if !txs[gi].collided {
-						txs[gi].collided = true
+			for _, gi := range scr.collisionOrder(txs, runs, c) {
+				tx := &txs[gi]
+				if maxIdx >= 0 && tx.start < maxEnd {
+					if !tx.collided {
+						tx.collided = true
 						col++
 					}
 					if !txs[maxIdx].collided {
@@ -497,17 +441,9 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 						col++
 					}
 				}
-				if txs[gi].end > maxEnd {
-					maxEnd = txs[gi].end
+				if tx.end > maxEnd {
+					maxEnd = tx.end
 					maxIdx = gi
-				}
-				pos[top]++
-				if pos[top] == runs[top].hi {
-					h[0] = h[len(h)-1]
-					h = h[:len(h)-1]
-				}
-				if len(h) > 0 {
-					siftRun(h, 0, txs, pos)
 				}
 			}
 			res.PerChannel[c].Collided = col
@@ -597,7 +533,7 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 						if cfg.HalfDuplex && n.transmitsDuring(r, tx.start, tx.end, scr) {
 							continue
 						}
-						rec := Reception{Start: tx.start, End: tx.end, Channel: int(tx.channel)}
+						rec := Reception{Start: tx.start, End: tx.end, Channel: ls.Channel}
 						m := res.First[r]
 						if m == nil {
 							m = scr.innerMap()
