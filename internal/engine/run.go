@@ -469,6 +469,13 @@ func runMany(scenarios []Scenario, opt Options) ([]Aggregate, error) {
 	return aggs, nil
 }
 
+// arenas recycles the workers' simulation arenas across runs, so a run
+// starts on buffers already grown to an earlier run's high-water mark
+// instead of regrowing them from empty. An arena carries no state from one
+// trial into the next (sim's scratchleak tests pin that), so which arena a
+// worker draws never shows in a result.
+var arenas = &sync.Pool{New: func() any { return sim.NewScratch() }}
+
 // runPoints is runMany's engine room, shared with the shard and journal
 // layers: it runs every point's trial range (the shard's slice of it, when
 // Options.shard is set) and returns the finalized points — aggregates on
@@ -584,8 +591,10 @@ func runPoints(scenarios []Scenario, opt Options) ([]*point, error) {
 		go func(w int) {
 			defer wg.Done()
 			// Each worker owns one simulation arena, reused across every
-			// trial it runs (see sim.Scratch for the ownership rules).
-			scr := sim.NewScratch()
+			// trial it runs (see sim.Scratch for the ownership rules) and
+			// handed back to the pool for later runs when it exits.
+			scr := arenas.Get().(*sim.Scratch)
+			defer arenas.Put(scr)
 			for it := range work {
 				p := it.p
 				// Cancellation is honored between trial windows: an

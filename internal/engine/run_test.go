@@ -3,7 +3,10 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // groupScenario exercises every aggregation path: collisions, jitter,
@@ -241,6 +244,50 @@ func TestChurnContactBins(t *testing.T) {
 		if b.Lo >= 1.0 && b.Contacts > 0 && b.Discovered != b.Contacts {
 			t.Fatalf("bin [%.2f,%.2f): %d/%d discovered — guaranteed contacts missed on a quiet channel",
 				b.Lo, b.Hi, b.Discovered, b.Contacts)
+		}
+	}
+}
+
+// TestPooledArenaAcrossRuns pins the arena pool's contract: a worker arena
+// carried from run to run — through crowd, churn, multichannel and pair
+// workloads in turn, twice over — yields exactly the stripped document the
+// same run produces on a fresh arena.
+func TestPooledArenaAcrossRuns(t *testing.T) {
+	saved := arenas
+	t.Cleanup(func() { arenas = saved })
+	document := func(name string) []byte {
+		t.Helper()
+		sc, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := RunScenario(sc, Options{Workers: 1, Trials: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := SuiteResult{Scenarios: []Aggregate{agg}}
+		res.StripRuntime()
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	presets := []string{"busynetwork-jitter", "churn-busy", "ble3-crowd", "ble3-churn", "quickstart"}
+	fresh := make(map[string][]byte)
+	for _, name := range presets {
+		arenas = &sync.Pool{New: func() any { return sim.NewScratch() }}
+		fresh[name] = document(name)
+	}
+	// One worker and a pool that only ever hands out shared: every run
+	// below executes on that one arena.
+	shared := sim.NewScratch()
+	arenas = &sync.Pool{New: func() any { return shared }}
+	for round := 0; round < 2; round++ {
+		for _, name := range presets {
+			if got := document(name); !bytes.Equal(got, fresh[name]) {
+				t.Errorf("round %d: %s on the pooled arena diverges from a fresh arena", round, name)
+			}
 		}
 	}
 }
