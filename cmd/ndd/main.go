@@ -68,6 +68,12 @@ func main() {
 		fatal(err)
 	}
 
+	// The handler goes in before the listen line is printed: a supervisor
+	// may send SIGTERM the moment it reads that line, and a signal arriving
+	// before Notify would kill the daemon undrained.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -80,8 +86,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case got := <-sig:
 		fmt.Fprintf(os.Stderr, "ndd: %v: shutting down\n", got)

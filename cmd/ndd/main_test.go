@@ -287,6 +287,19 @@ func TestFlagErrors(t *testing.T) {
 	}
 }
 
+// TestShutdownRightAfterListenLine: a SIGTERM sent the moment the listen
+// line appears — before any request — still drains and exits 0, so the
+// signal handler must be in place before that line is printed.
+func TestShutdownRightAfterListenLine(t *testing.T) {
+	d := startDaemon(t)
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Errorf("SIGTERM exit: %v, want clean exit", err)
+	}
+}
+
 // TestGracefulShutdown: SIGTERM drains and exits 0.
 func TestGracefulShutdown(t *testing.T) {
 	d := startDaemon(t)
