@@ -29,9 +29,12 @@ import (
 	"repro/internal/engine"
 	"repro/internal/multichannel"
 	"repro/internal/obs"
+	"repro/internal/optimal"
 	"repro/internal/protocols"
+	"repro/internal/sim"
 	"repro/internal/slots"
 	"repro/internal/textplot"
+	"repro/internal/timebase"
 )
 
 // bench is one registry entry: a name, the Monte-Carlo trials a single op
@@ -72,25 +75,58 @@ func registry() ([]bench, error) {
 		return nil, err
 	}
 
-	all := runtime.GOMAXPROCS(0)
+	// A fixed worker count, not GOMAXPROCS: allocs/op grow with the
+	// worker count, so a core-count-sized pool would make the rows depend
+	// on the runner rather than the code.
+	const workers = 2
 	exact := quick
 	exact.Exact = true
-	return []bench{
+	benches := []bench{
 		{"EngineScenario1Worker", 32, engineBench(busy, 32, 1)},
-		{"EngineScenarioAllCores", 32, engineBench(busy, 32, all)},
-		{"EngineMultiChannelPair", 64, engineBench(fast, 64, all)},
-		{"EngineSlotGridPair", 64, engineBench(grid, 64, all)},
-		{"EngineMultiChannelGroup", 16, engineBench(crowd, 16, all)},
+		{"EngineScenario2Workers", 32, engineBench(busy, 32, workers)},
+		{"EngineMultiChannelPair", 64, engineBench(fast, 64, workers)},
+		{"EngineSlotGridPair", 64, engineBench(grid, 64, workers)},
+		{"EngineMultiChannelGroup", 16, engineBench(crowd, 16, workers)},
 		// The exact-analysis fast path against its Monte-Carlo twin: the
 		// same preset answered from the schedule analysis (no trials) vs
 		// simulated at its registry trial count. Their ns/op ratio is the
 		// exact-mode speedup the trajectory tracks.
-		{"EngineExactPoint", 0, engineBench(exact, 0, all)},
-		{"EngineExactPointMC", 500, engineBench(quick, 500, all)},
+		{"EngineExactPoint", 0, engineBench(exact, 0, workers)},
+		{"EngineExactPointMC", 500, engineBench(quick, 500, workers)},
 		{"CoverageAnalyzeDisco2329", 0, benchCoverageDisco},
 		{"MultichannelAnalyzeBLE", 0, benchMultichannelBLE},
 		{"SlotDomainWorstCase", 0, benchSlotWorstCase},
-	}, nil
+	}
+	for _, s := range []int{2, 10, 20, 40} {
+		benches = append(benches, bench{fmt.Sprintf("KernelGroupTrial%d", s), 1, kernelGroupBench(s)})
+	}
+	return benches, nil
+}
+
+// kernelGroupBench measures sim.GroupTrialScratch alone on one goroutine
+// with one reused arena: s devices of busynetwork-jitter's protocol (the
+// two-device optimum at η = 5 %) on its channel — collisions, half-duplex,
+// λ/4 jitter — over its 12-worst-case horizon. One op is one trial.
+func kernelGroupBench(s int) func(*testing.B) {
+	return func(b *testing.B) {
+		omega := 36 * timebase.Microsecond
+		pair, err := optimal.NewSymmetric(omega, 1, 0.05)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := sim.Config{Horizon: 12 * pair.WorstCase(), Collisions: true, HalfDuplex: true, Jitter: 360 * timebase.Microsecond}
+		scr := sim.NewScratch()
+		if _, err := sim.GroupTrialScratch(pair.E, s, cfg, scr.Rand(0), scr); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.GroupTrialScratch(pair.E, s, cfg, scr.Rand(int64(i)+1), scr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // engineBench measures RunScenario end to end at a fixed trial count and
