@@ -187,10 +187,10 @@ func channelCount(nodes []WorldNode) (int, error) {
 
 // RunWorld simulates the node set under cfg: it materializes every
 // emission's jittered transmissions, marks per-channel collisions in start
-// order, and records every listener's first reception per
-// sender. Every run is deterministic given cfg's RNG stream. This serial
-// form allocates a fresh arena per call, so the result never aliases
-// caller-visible state; hot loops hold a Scratch and call RunWorldScratch.
+// order, and records every listener's first reception per sender. Every run
+// is deterministic given cfg's RNG stream. This serial form allocates a
+// fresh arena per call, so the result never aliases caller-visible state;
+// hot loops hold a Scratch and call RunWorldScratch.
 func RunWorld(nodes []WorldNode, cfg Config) (WorldResult, error) {
 	return RunWorldScratch(nodes, cfg, NewScratch())
 }
