@@ -13,6 +13,7 @@ package repro
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/coverage"
@@ -267,22 +268,22 @@ func BenchmarkAnalyzeDisco2329(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupSimulation runs the 20-device collision simulation.
+// BenchmarkGroupSimulation runs the 20-device collision simulation: five
+// trials on one arena per iteration.
 func BenchmarkGroupSimulation(b *testing.B) {
 	pair, err := optimal.NewSymmetric(36, 1, 0.05)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := sim.Config{Horizon: 10 * pair.WorstCase(), Collisions: true, Jitter: 200}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := sim.GroupDiscovery(pair.E, 20, 5, sim.Config{
-			Horizon:    10 * pair.WorstCase(),
-			Collisions: true,
-			Jitter:     200,
-			Seed:       int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
+		rng := rand.New(rand.NewSource(int64(i)))
+		scr := sim.NewScratch()
+		for trial := 0; trial < 5; trial++ {
+			if _, err := sim.GroupTrialScratch(pair.E, 20, cfg, rng, scr); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -1,9 +1,8 @@
 // Command ndsim analyzes and simulates neighbor-discovery protocols.
 //
 // It builds a protocol schedule, measures its exact worst-case discovery
-// latency with the coverage engine, compares it against the fundamental
-// bound, and optionally Monte-Carlos a group of devices over a collision
-// channel.
+// latency with the coverage engine, and compares it against the
+// fundamental bound.
 //
 // Usage:
 //
@@ -12,7 +11,17 @@
 //	ndsim -proto diffcode -q 7 -slot 5000
 //	ndsim -proto uconnect -p 11 -slot 5000
 //	ndsim -proto ble      -preset balanced
-//	ndsim -proto optimal  -eta 0.05 -group 10 -trials 50
+//
+// Group simulations over a collision channel run on the scenario engine:
+// a spec with population > 2 executes the crowd workload in parallel.
+// For example, 10 optimal devices at η = 5%, 50 trials, collisions on
+// (run with `ndscen -spec group.json`):
+//
+//	[{"name": "optimal-group", "population": 10, "trials": 50, "seed": 1,
+//	  "protocol": {"kind": "optimal", "omega": 36, "alpha": 1, "eta": 0.05},
+//	  "horizon": {"worst_multiple": 10}, "channel": {"collisions": true}}]
+//
+// Add "jitter": <µs> to "channel" for beacon jitter.
 package main
 
 import (
@@ -25,7 +34,6 @@ import (
 	"repro/internal/optimal"
 	"repro/internal/protocols"
 	"repro/internal/schedule"
-	"repro/internal/sim"
 	"repro/internal/timebase"
 )
 
@@ -42,10 +50,6 @@ func main() {
 		tt     = flag.Int("t", 16, "Searchlight period (slots)")
 		slot   = flag.Int64("slot", 5000, "slot length in µs (slotted protocols)")
 		preset = flag.String("preset", "balanced", "BLE preset: fast|balanced|lowpower")
-		group  = flag.Int("group", 0, "also run a group simulation with this many devices")
-		trials = flag.Int("trials", 30, "Monte-Carlo trials for -group")
-		jitter = flag.Int64("jitter", 0, "beacon jitter in µs for -group")
-		seed   = flag.Int64("seed", 1, "simulation seed")
 	)
 	flag.Parse()
 
@@ -77,31 +81,6 @@ func main() {
 			fmt.Printf("  fundamental bound at achieved η: %.6g s → optimality ratio %.4g\n",
 				bound/float64(timebase.Second), core.OptimalityRatio(float64(ana.WorstLatency), bound))
 		}
-	}
-
-	if *group > 1 {
-		fmt.Printf("\nGroup simulation: S=%d devices, %d trials, collisions on, jitter %d µs\n",
-			*group, *trials, *jitter)
-		horizon := 20 * dev.B.Period
-		if ana.Deterministic && 10*ana.WorstLatency > horizon {
-			horizon = 10 * ana.WorstLatency
-		}
-		res, err := sim.GroupDiscovery(dev, *group, *trials, sim.Config{
-			Horizon:    horizon,
-			Collisions: true,
-			Jitter:     timebase.Ticks(*jitter),
-			Seed:       *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ndsim: group: %v\n", err)
-			os.Exit(1)
-		}
-		st := res.Latency
-		fmt.Printf("  pair latency: mean %.6g s, p95 %v, max %v\n",
-			st.Mean/float64(timebase.Second), st.P95, st.Max)
-		fmt.Printf("  failure rate within horizon: %.4g%%\n", st.FailureRate()*100)
-		fmt.Printf("  packet collision rate: %.4g%% (Eq 12 predicts %.4g%%)\n",
-			res.CollisionRate*100, core.CollisionProbability(*group, dev.B.Beta())*100)
 	}
 }
 

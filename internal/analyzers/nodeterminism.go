@@ -19,9 +19,10 @@ var forbiddenTimeFuncs = map[string]bool{
 
 // forbiddenRandFuncs are the math/rand (and math/rand/v2) top-level
 // functions that draw from the process-global source. Trial code must draw
-// from an injected rand.Source (see sim.Config.Source) so every trial has
-// its own deterministic stream; the global source is shared, seeded
-// nondeterministically, and serializes goroutines on one lock.
+// from an injected, seeded stream (see sim.Config.Seed and Scratch.Rand) so
+// every trial has its own deterministic stream; the global source is
+// shared, seeded nondeterministically, and serializes goroutines on one
+// lock.
 var forbiddenRandFuncs = map[string]bool{
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
 	"Int63": true, "Int63n": true, "Int64": true, "Int64N": true,

@@ -224,3 +224,125 @@ func relPos(fset *token.FileSet, root string, pos token.Pos, fallback string) st
 	}
 	return p.Filename
 }
+
+// docPackages maps the package names the documents cite as `pkg.X` to
+// their directories under the module root.
+var docPackages = map[string]string{
+	"sim":    "internal/sim",
+	"engine": "internal/engine",
+	"obs":    "internal/obs",
+	"eval":   "internal/eval",
+	"nd":     "nd",
+}
+
+var (
+	codeSpan = regexp.MustCompile("`[^`\n]+`")
+	pkgRef   = regexp.MustCompile(`\b(sim|engine|obs|eval|nd)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+)
+
+// pkgDecls is one package's top-level declarations: every declared name,
+// plus the fields and methods of its locally defined types (nil members
+// for aliases and structs with embedded fields, whose member sets are not
+// known locally).
+type pkgDecls struct {
+	names   map[string]bool
+	members map[string]map[string]bool
+}
+
+func parseDecls(t *testing.T, dir string) pkgDecls {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}}
+	var methods [][2]string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if decl.Recv == nil {
+						d.names[decl.Name.Name] = true
+						continue
+					}
+					recv := decl.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						methods = append(methods, [2]string{id.Name, decl.Name.Name})
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							d.names[sp.Name.Name] = true
+							if sp.Assign.IsValid() {
+								continue // alias: members live elsewhere
+							}
+							set := map[string]bool{}
+							if st, ok := sp.Type.(*ast.StructType); ok {
+								for _, f := range st.Fields.List {
+									if len(f.Names) == 0 {
+										set = nil // embedded: promoted members
+										break
+									}
+									for _, n := range f.Names {
+										set[n.Name] = true
+									}
+								}
+							}
+							d.members[sp.Name.Name] = set
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								d.names[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, m := range methods {
+		if set := d.members[m[0]]; set != nil {
+			set[m[1]] = true
+		}
+	}
+	return d
+}
+
+// TestDocIdentifiersResolve: every backticked `pkg.X` (or `pkg.X.Y`) in
+// README, ROADMAP and docs/ for the sim, engine, obs, eval and nd
+// packages must name a top-level declaration of that package — and Y a
+// field or method of the type X — so a rename or deletion cannot leave
+// the documents pointing at code that no longer exists.
+func TestDocIdentifiersResolve(t *testing.T) {
+	root := repoRoot(t)
+	decls := map[string]pkgDecls{}
+	for name, dir := range docPackages {
+		decls[name] = parseDecls(t, filepath.Join(root, dir))
+	}
+	for _, rel := range markdownFiles(t, root) {
+		blob, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil {
+			t.Errorf("%s: %v", rel, err)
+			continue
+		}
+		for _, span := range codeSpan.FindAllString(string(blob), -1) {
+			for _, m := range pkgRef.FindAllStringSubmatch(span, -1) {
+				d := decls[m[1]]
+				if !d.names[m[2]] {
+					t.Errorf("%s: %s names no declaration of package %s", rel, span, m[1])
+					continue
+				}
+				if set := d.members[m[2]]; m[3] != "" && set != nil && !set[m[3]] {
+					t.Errorf("%s: %s names no field or method of %s.%s", rel, span, m[1], m[2])
+				}
+			}
+		}
+	}
+}

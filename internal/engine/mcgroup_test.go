@@ -77,7 +77,7 @@ func TestMultiChannelGroupMatchesSerialTrials(t *testing.T) {
 	chanDisc := make([]int, b.MC.Channels)
 	for trial := 0; trial < sc.Trials; trial++ {
 		rng := rand.New(sim.NewFastSource(trialSeed(hash, trial)))
-		res, err := sim.MultiChannelGroupTrial(b.MC, sc.Population, cfg, rng)
+		res, err := sim.MultiChannelGroupTrialScratch(b.MC, sc.Population, cfg, rng, sim.NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}

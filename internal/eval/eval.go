@@ -14,10 +14,9 @@ import (
 	"repro/internal/collision"
 	"repro/internal/core"
 	"repro/internal/coverage"
+	"repro/internal/engine"
 	"repro/internal/optimal"
 	"repro/internal/protocols"
-	"repro/internal/schedule"
-	"repro/internal/sim"
 	"repro/internal/textplot"
 	"repro/internal/timebase"
 )
@@ -524,32 +523,37 @@ type CollisionMCResult struct {
 	Rows []CollisionMCRow
 }
 
-// RunCollisionMC simulates S jittered beaconers and measures collisions.
+// RunCollisionMC simulates S jittered beaconers on the scenario engine and
+// measures collisions. Every row is a crowd of S ≥ 3 identical PI devices
+// (one beacon and one window every 3600 ticks, β ≈ 0.01 with ω=36): the
+// engine's population 2 is the one-way pair workload with a single
+// transmitter, which cannot collide.
 func RunCollisionMC(p core.Params, trials int) (CollisionMCResult, error) {
 	res := CollisionMCResult{}
-	gap := timebase.Ticks(3600) // β ≈ 0.01 with ω=36
-	b, err := schedule.NewEqualGapBeacons(1, gap, p.Omega, 0)
+	gap := timebase.Ticks(3600)
+	var scs []engine.Scenario
+	for _, s := range []int{3, 5, 10, 20} {
+		scs = append(scs, engine.Scenario{
+			Name:       fmt.Sprintf("collision-mc-s%d", s),
+			Protocol:   engine.ProtocolSpec{Kind: "pi", Omega: p.Omega, Ta: gap, Ts: gap, Ds: 360},
+			Population: s,
+			Trials:     trials,
+			Horizon:    engine.HorizonSpec{Ticks: 60 * gap},
+			Channel:    engine.ChannelSpec{Collisions: true, Jitter: gap / 3},
+			Seed:       1234,
+		})
+	}
+	aggs, err := engine.RunSuite(scs, engine.Options{})
 	if err != nil {
 		return res, err
 	}
-	dev := schedule.Device{B: b, C: schedule.WindowSeq{
-		Windows: []schedule.Window{{Start: gap - 360, Len: 360}}, Period: gap}}
-	beta := dev.B.Beta()
-	for _, s := range []int{2, 5, 10, 20} {
-		group, err := sim.GroupDiscovery(dev, s, trials, sim.Config{
-			Horizon:    60 * gap,
-			Collisions: true,
-			Jitter:     gap / 3,
-			Seed:       1234,
-		})
-		if err != nil {
-			return res, err
-		}
+	for _, agg := range aggs {
+		s := agg.Scenario.Population
 		res.Rows = append(res.Rows, CollisionMCRow{
-			S: s, Beta: beta,
-			Predicted: core.CollisionProbability(s, beta),
-			Measured:  group.CollisionRate,
-			Failure:   group.Latency.FailureRate(),
+			S: s, Beta: agg.BetaE,
+			Predicted: core.CollisionProbability(s, agg.BetaE),
+			Measured:  agg.CollisionRate,
+			Failure:   agg.FailureRate,
 		})
 	}
 	return res, nil

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/optimal"
@@ -65,6 +67,32 @@ func TestDepartedReceiverHearsNothing(t *testing.T) {
 	}
 }
 
+// churnStats runs trials churn trials of s copies of dev on one arena, all
+// drawing from a stream seeded with seed, and summarizes the latencies of
+// every judged contact.
+func churnStats(t *testing.T, dev schedule.Device, s, trials int, stay timebase.Ticks, cfg Config, seed int64) Stats {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	scr := NewScratch()
+	var samples []timebase.Ticks
+	misses := 0
+	for i := 0; i < trials; i++ {
+		contacts, _, err := ChurnTrialScratch(dev, s, stay, cfg, rng, scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range contacts {
+			if c.Discovered {
+				samples = append(samples, c.Latency)
+			} else {
+				misses++
+			}
+		}
+	}
+	slices.Sort(samples)
+	return CollectSorted(samples, misses)
+}
+
 func TestChurnDiscoveryLongContacts(t *testing.T) {
 	// Contacts much longer than the worst case: every judged pair must
 	// discover, within the analytic worst case of the schedule.
@@ -73,13 +101,7 @@ func TestChurnDiscoveryLongContacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	worst := pair.WorstCase()
-	stats, err := ChurnDiscovery(pair.E, 4, 20, 0, Config{
-		Horizon: 8 * worst,
-		Seed:    5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := churnStats(t, pair.E, 4, 20, 0, Config{Horizon: 8 * worst}, 5)
 	if stats.N == 0 {
 		t.Fatal("no pairs judged")
 	}
@@ -104,13 +126,7 @@ func TestChurnDiscoveryShortContacts(t *testing.T) {
 		period = pair.E.C.Period
 	}
 	stay := period + worst/4 // long enough to be judged, short vs worst case
-	stats, err := ChurnDiscovery(pair.E, 6, 30, stay, Config{
-		Horizon: 8 * worst,
-		Seed:    6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := churnStats(t, pair.E, 6, 30, stay, Config{Horizon: 8 * worst}, 6)
 	if stats.N == 0 {
 		t.Skip("no pairs overlapped long enough; adjust parameters")
 	}
@@ -125,7 +141,8 @@ func TestChurnDiscoveryShortContacts(t *testing.T) {
 
 func TestChurnRejectsBadArgs(t *testing.T) {
 	pair, _ := optimal.NewSymmetric(36, 1, 0.05)
-	if _, err := ChurnDiscovery(pair.E, 1, 5, 0, Config{Horizon: 1000}); err == nil {
+	rng := rand.New(rand.NewSource(1))
+	if _, _, err := ChurnTrialScratch(pair.E, 1, 0, Config{Horizon: 1000}, rng, NewScratch()); err == nil {
 		t.Error("s=1 accepted")
 	}
 }

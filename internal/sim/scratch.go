@@ -12,9 +12,8 @@ import (
 // map and RNG the hot path needs lives here and is reused across trials,
 // so a steady-state trial allocates nothing beyond the samples it hands
 // back. A Scratch is NOT safe for concurrent use — the engine owns one per
-// worker goroutine; serial callers get a fresh one per call through the
-// non-scratch wrappers (RunWorld, PairTrial, ...), which keeps those call
-// sites bit-identical to the pre-arena code.
+// worker goroutine (pooled across runs); one-off callers pass a fresh
+// NewScratch().
 //
 // Ownership rule: a WorldResult produced through a Scratch aliases the
 // arena (First maps, PerChannel loads). It is valid only until the next
@@ -51,13 +50,14 @@ type Scratch struct {
 	mcWindows []schedule.WindowSeq
 
 	// Reseedable RNGs: trialRand is the engine's per-trial stream (Rand),
-	// childSrc/childRand the kernel stream the trial primitives derive from
-	// it. Reseeding a splitmix in place yields the exact stream a fresh
-	// rand.New(NewFastSource(seed)) would, so reuse is bit-identical.
-	trialSrc  splitmix
-	trialRand *rand.Rand
-	childSrc  splitmix
-	childRand *rand.Rand
+	// jitterRand the kernel's jitter stream, reseeded from Config.Seed by
+	// every jittered kernel run. Reseeding a splitmix in place yields the
+	// exact stream a fresh rand.New(NewFastSource(seed)) would, so reuse
+	// is bit-identical.
+	trialSrc   splitmix
+	trialRand  *rand.Rand
+	jitterSrc  splitmix
+	jitterRand *rand.Rand
 }
 
 // NewScratch returns an empty arena. Buffers grow on first use and are
@@ -65,7 +65,7 @@ type Scratch struct {
 func NewScratch() *Scratch {
 	s := &Scratch{}
 	s.trialRand = rand.New(&s.trialSrc)
-	s.childRand = rand.New(&s.childSrc)
+	s.jitterRand = rand.New(&s.jitterSrc)
 	return s
 }
 
@@ -76,22 +76,6 @@ func NewScratch() *Scratch {
 func (s *Scratch) Rand(seed int64) *rand.Rand {
 	s.trialSrc.Seed(seed)
 	return s.trialRand
-}
-
-// childSource reseeds the kernel-stream source and returns it, for use as
-// Config.Source of a kernel run within the same Scratch.
-func (s *Scratch) childSource(seed int64) rand.Source {
-	s.childSrc.Seed(seed)
-	return &s.childSrc
-}
-
-// kernelRNG returns the RNG for a kernel run: the cached wrapper when cfg
-// carries the arena's own child source, else a fresh materialization.
-func (s *Scratch) kernelRNG(cfg Config) *rand.Rand {
-	if cfg.Source == &s.childSrc {
-		return s.childRand
-	}
-	return cfg.rng()
 }
 
 // grow returns s resized to length n, reallocating only when the capacity

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/coverage"
@@ -78,11 +80,24 @@ func TestPairLatenciesMatchesCoverageWorstCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := PairLatencies(senderOnly(u.Sender), listenOnly(u.Listener), 300,
-		Config{Horizon: 4 * u.WorstCase, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{Horizon: 4 * u.WorstCase}
+	rng := rand.New(rand.NewSource(42))
+	scr := NewScratch()
+	var samples []timebase.Ticks
+	misses := 0
+	for i := 0; i < 300; i++ {
+		at, ok, err := PairTrialScratch(senderOnly(u.Sender), listenOnly(u.Listener), cfg, rng, scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			samples = append(samples, at)
+		} else {
+			misses++
+		}
 	}
+	slices.Sort(samples)
+	stats := CollectSorted(samples, misses)
 	if stats.Misses != 0 {
 		t.Fatalf("%d misses despite deterministic schedule", stats.Misses)
 	}
@@ -199,18 +214,26 @@ func TestCollisionRateMatchesEq12(t *testing.T) {
 	dev := schedule.Device{B: b, C: schedule.WindowSeq{
 		Windows: []schedule.Window{{Start: gap - 400, Len: 400}}, Period: gap}}
 	beta := dev.B.Beta()
+	cfg := Config{
+		Horizon:    40 * gap,
+		Collisions: true,
+		Jitter:     gap / 3, // decorrelate the periodic pattern
+	}
+	scr := NewScratch()
 	for _, s := range []int{2, 5, 10} {
-		res, err := GroupDiscovery(dev, s, 60, Config{
-			Horizon:    40 * gap,
-			Collisions: true,
-			Jitter:     gap / 3, // decorrelate the periodic pattern
-			Seed:       7,
-		})
-		if err != nil {
-			t.Fatal(err)
+		// Pool packets over 60 trials, so every packet weighs the same.
+		rng := rand.New(rand.NewSource(7))
+		transmissions, collided := 0, 0
+		for i := 0; i < 60; i++ {
+			tr, err := GroupTrialScratch(dev, s, cfg, rng, scr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			transmissions += tr.Transmissions
+			collided += tr.Collided
 		}
 		want := 1 - math.Exp(-2*float64(s-1)*beta)
-		got := res.CollisionRate
+		got := float64(collided) / float64(transmissions)
 		if math.Abs(got-want) > 0.5*want+0.01 {
 			t.Errorf("S=%d: collision rate %v, Eq 12 predicts %v", s, got, want)
 		}
@@ -249,7 +272,7 @@ func TestJitterDecorrelatesPhaseLockedCollisions(t *testing.T) {
 
 func TestCollectStats(t *testing.T) {
 	samples := []timebase.Ticks{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	st := Collect(samples, 2)
+	st := CollectSorted(samples, 2)
 	if st.N != 12 || st.Misses != 2 {
 		t.Errorf("N=%d Misses=%d", st.N, st.Misses)
 	}
@@ -265,7 +288,7 @@ func TestCollectStats(t *testing.T) {
 	if math.Abs(st.FailureRate()-2.0/12) > 1e-12 {
 		t.Errorf("FailureRate=%v", st.FailureRate())
 	}
-	empty := Collect(nil, 5)
+	empty := CollectSorted(nil, 5)
 	if empty.N != 5 || empty.FailureRate() != 1 {
 		t.Errorf("empty collect: %+v", empty)
 	}

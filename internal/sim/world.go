@@ -16,11 +16,11 @@ import (
 // kernel materializes every transmission, resolves ALOHA collisions per
 // channel in start order, and walks every listener's windows to find first
 // receptions. All trial paths — the single-channel pair/group/churn
-// workloads (Run), the multi-channel advertiser/scanner pair
-// (MultiChannelPairTrial), the slot-aligned pairs (SlotGridPair.Trial) and
-// the multi-node multi-channel workloads (MultiChannelGroupTrial,
-// MultiChannelChurnTrial) — are thin configurations of this kernel; the
-// former per-kind event loops are gone.
+// workloads (Run and the trial primitives), the multi-channel
+// advertiser/scanner pair (MultiChannelPairTrialScratch), the slot-aligned
+// pairs (SlotGridPair.TrialScratch) and the multi-node multi-channel
+// workloads (MultiChannelGroupTrialScratch, MultiChannelChurnTrialScratch)
+// — are thin configurations of this kernel.
 
 // Emission is one periodic beacon schedule a node transmits on a channel.
 // Phase places the schedule's origin at absolute time Phase.
@@ -185,16 +185,6 @@ func channelCount(nodes []WorldNode) (int, error) {
 	return max + 1, nil
 }
 
-// RunWorld simulates the node set under cfg: it materializes every
-// emission's jittered transmissions, marks per-channel collisions in start
-// order, and records every listener's first reception per sender. Every run
-// is deterministic given cfg's RNG stream. This serial form allocates a
-// fresh arena per call, so the result never aliases caller-visible state;
-// hot loops hold a Scratch and call RunWorldScratch.
-func RunWorld(nodes []WorldNode, cfg Config) (WorldResult, error) {
-	return RunWorldScratch(nodes, cfg, NewScratch())
-}
-
 // txRun is one contiguous, start-sorted segment of the generation buffer:
 // the transmissions of a single (node, emission) pair, all on one channel.
 type txRun struct {
@@ -281,9 +271,12 @@ func (s *Scratch) collisionOrder(txs []transmission, runs []txRun, c int) []int3
 	return order
 }
 
-// RunWorldScratch is RunWorld against a caller-owned arena: all kernel
-// buffers come from scr and the result aliases it (valid until the next
-// run on the same Scratch). Results are bit-identical to RunWorld.
+// RunWorldScratch simulates the node set under cfg: it materializes every
+// emission's jittered transmissions, marks per-channel collisions in start
+// order, and records every listener's first reception per sender. Every
+// run is deterministic given cfg.Seed. All kernel buffers come from scr
+// and the result aliases it (valid until the next run on the same
+// Scratch); the result does not depend on what the arena ran before.
 func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, error) {
 	if cfg.Horizon <= 0 {
 		return WorldResult{}, fmt.Errorf("sim: horizon %d must be positive", cfg.Horizon)
@@ -295,12 +288,11 @@ func RunWorldScratch(nodes []WorldNode, cfg Config, scr *Scratch) (WorldResult, 
 	if err != nil {
 		return WorldResult{}, err
 	}
-	// The RNG only feeds jitter; materializing it lazily spares jitter-free
-	// configurations without an injected Source the (expensive) default
-	// math/rand seeding.
+	// The RNG only feeds jitter, so jitter-free runs never touch it.
 	var rng *rand.Rand
 	if cfg.Jitter > 0 {
-		rng = scr.kernelRNG(cfg)
+		scr.jitterSrc.Seed(cfg.Seed)
+		rng = scr.jitterRand
 	}
 
 	// Precompute the half-duplex airtime maxima per emission (node-major

@@ -22,9 +22,10 @@
 //     bounds with equality; Disco, UConnect, Searchlight, Diffcode and the
 //     PI (BLE-like) family provide the classic protocols for comparison.
 //
-//   - Simulation. Simulate, PairLatencies and GroupDiscovery run a
-//     discrete-event multi-device simulation with an ALOHA collision
-//     channel, half-duplex radios and optional beacon jitter.
+//   - Simulation. Simulate runs one discrete-event multi-device simulation
+//     with an ALOHA collision channel, half-duplex radios and optional
+//     beacon jitter; RunScenario runs Monte-Carlo experiments (pairs,
+//     crowds, churn) on the parallel scenario engine.
 //
 // All time quantities are integer Ticks (1 tick = 1 µs). Closed-form bounds
 // return float64 ticks, since they are generally fractional.
@@ -231,24 +232,11 @@ type (
 	SimResult = sim.Result
 	// SimStats summarizes Monte-Carlo latency samples.
 	SimStats = sim.Stats
-	// GroupResult aggregates a many-device experiment.
-	GroupResult = sim.GroupResult
 )
 
 // Simulate runs the discrete-event simulation of the node set.
 func Simulate(nodes []SimNode, cfg SimConfig) (SimResult, error) {
 	return sim.Run(nodes, cfg)
-}
-
-// PairLatencies Monte-Carlos one-way discovery latency between a sender
-// and a receiver device with random phases.
-func PairLatencies(e, f Device, trials int, cfg SimConfig) (SimStats, error) {
-	return sim.PairLatencies(e, f, trials, cfg)
-}
-
-// GroupDiscovery Monte-Carlos s identical devices with random phases.
-func GroupDiscovery(dev Device, s, trials int, cfg SimConfig) (GroupResult, error) {
-	return sim.GroupDiscovery(dev, s, trials, cfg)
 }
 
 // OptimalPI expresses the optimal symmetric construction as BLE-like PI
@@ -266,22 +254,6 @@ type AssistResult = optimal.AssistResult
 // next reception window (the Griassdi mechanism the paper builds on).
 func EvaluateAssistance(q Quadruple) AssistResult {
 	return optimal.EvaluateAssistance(q)
-}
-
-// ChurnDiscovery simulates devices arriving and departing (bounded contact
-// windows) and measures discovery latency from the moment a pair is
-// jointly present.
-func ChurnDiscovery(dev Device, s, trials int, stay Ticks, cfg SimConfig) (SimStats, error) {
-	return sim.ChurnDiscovery(dev, s, trials, stay, cfg)
-}
-
-// Contact is one pair encounter record from a churn simulation.
-type Contact = sim.Contact
-
-// ChurnContacts returns the raw per-pair contact records of the churn
-// scenario, for binning discovery ratios by contact duration.
-func ChurnContacts(dev Device, s, trials int, stay Ticks, cfg SimConfig) ([]Contact, error) {
-	return sim.ChurnContacts(dev, s, trials, stay, cfg)
 }
 
 // Stream interfaces for aperiodic schedules (Appendix A.1).

@@ -103,17 +103,26 @@ func TestSimulationThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nd.PairLatencies(
-		nd.Device{B: u.Sender}, nd.Device{C: u.Listener},
-		50, nd.SimConfig{Horizon: 4 * u.WorstCase, Seed: 1})
+	// The unidirectional pair is a periodic-interval pair: one beacon
+	// every λ against one window of length d at the end of every k·d.
+	sc := nd.Scenario{
+		Name: "public-api-pair",
+		Protocol: nd.ProtocolSpec{Kind: "pi", Omega: 36,
+			Ta: u.Lambda, Ts: u.Listener.Period, Ds: u.D},
+		Population: 2,
+		Trials:     50,
+		Horizon:    nd.HorizonSpec{Ticks: 4 * u.WorstCase},
+		Seed:       1,
+	}
+	res, err := nd.RunScenario(sc, nd.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Misses != 0 {
-		t.Errorf("misses = %d", stats.Misses)
+	if res.Latency.N != 50 || res.Latency.Misses != 0 {
+		t.Errorf("judged %d pairs with %d misses, want 50 with none", res.Latency.N, res.Latency.Misses)
 	}
-	if stats.Max > u.WorstCase+36 {
-		t.Errorf("max %v exceeds worst case %v", stats.Max, u.WorstCase)
+	if res.Latency.Max > u.WorstCase+36 {
+		t.Errorf("max %v exceeds worst case %v", res.Latency.Max, u.WorstCase)
 	}
 }
 
